@@ -2,6 +2,8 @@ package coherence
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -21,7 +23,7 @@ func TestInitialStateInvalid(t *testing.T) {
 func TestLoadGrantsShared(t *testing.T) {
 	d := NewDirectory(4)
 	act := d.Load(blk, 0)
-	if act.FlushFrom != -1 || len(act.Invalidate) != 0 {
+	if act.FlushFrom != -1 || act.Invalidate != 0 {
 		t.Fatalf("clean load must need nothing: %+v", act)
 	}
 	if d.StateOf(blk) != Shared {
@@ -43,8 +45,8 @@ func TestStoreInvalidatesSharers(t *testing.T) {
 	if act.FlushFrom != -1 {
 		t.Fatalf("no dirty owner to flush: %+v", act)
 	}
-	if len(act.Invalidate) != 2 {
-		t.Fatalf("invalidate list = %v, want nodes 1 and 2", act.Invalidate)
+	if act.Invalidate != 1<<1|1<<2 {
+		t.Fatalf("invalidate mask = %#b, want nodes 1 and 2", act.Invalidate)
 	}
 	if d.StateOf(blk) != Modified {
 		t.Fatalf("state = %v", d.StateOf(blk))
@@ -83,7 +85,7 @@ func TestStoreFlushesRemoteDirty(t *testing.T) {
 	if act.FlushFrom != 1 {
 		t.Fatalf("store must flush the previous owner: %+v", act)
 	}
-	if len(act.Invalidate) != 1 || act.Invalidate[0] != 1 {
+	if act.Invalidate != 1<<1 {
 		t.Fatalf("previous owner must be invalidated: %+v", act)
 	}
 	if d.StateOf(blk) != Modified || d.Sharers(blk)[0] != 2 {
@@ -95,7 +97,7 @@ func TestOwnStoreUpgradeNoFlush(t *testing.T) {
 	d := NewDirectory(4)
 	d.Load(blk, 0)
 	act := d.Store(blk, 0)
-	if act.FlushFrom != -1 || len(act.Invalidate) != 0 {
+	if act.FlushFrom != -1 || act.Invalidate != 0 {
 		t.Fatalf("upgrading sole sharer needs nothing: %+v", act)
 	}
 }
@@ -183,5 +185,187 @@ func TestSingleOwnerInvariant(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refLine and refDir are a map-backed model of the directory's protocol,
+// the reference the open-addressed table must match.
+type refLine struct {
+	state   State
+	sharers uint64
+	owner   int
+}
+
+type refDir struct {
+	lines         map[uint64]*refLine
+	invalidations uint64
+	flushes       uint64
+}
+
+func (r *refDir) get(b uint64) *refLine {
+	l := r.lines[b]
+	if l == nil {
+		l = &refLine{owner: -1}
+		r.lines[b] = l
+	}
+	return l
+}
+
+func (r *refDir) load(b uint64, node int) Action {
+	l := r.get(b)
+	act := Action{FlushFrom: -1}
+	if l.state == Modified && l.owner != node {
+		act.FlushFrom = l.owner
+		r.flushes++
+	}
+	if l.state != Shared {
+		l.state, l.owner = Shared, -1
+	}
+	l.sharers |= 1 << uint(node)
+	return act
+}
+
+func (r *refDir) store(b uint64, node int) Action {
+	l := r.get(b)
+	act := Action{FlushFrom: -1}
+	if l.state == Modified && l.owner != node {
+		act.FlushFrom = l.owner
+		r.flushes++
+	}
+	for n := 0; n < 64; n++ {
+		if n != node && l.sharers&(1<<uint(n)) != 0 {
+			act.Invalidate |= 1 << uint(n)
+			r.invalidations++
+		}
+	}
+	l.state, l.owner, l.sharers = Modified, node, 1<<uint(node)
+	return act
+}
+
+func (r *refDir) evict(b uint64, node int) {
+	l := r.lines[b]
+	if l == nil {
+		return
+	}
+	l.sharers &^= 1 << uint(node)
+	if l.state == Modified && l.owner == node {
+		l.state, l.owner = Invalid, -1
+	}
+	if l.sharers == 0 {
+		delete(r.lines, b)
+	}
+}
+
+// TestDirectoryMatchesReferenceModel drives a long random request stream
+// over enough blocks to grow the table several times and to exercise
+// deletion inside probe clusters, checking every action, every block's
+// state and sharers, and the counters against the map-backed model.
+func TestDirectoryMatchesReferenceModel(t *testing.T) {
+	d := NewDirectory(4)
+	ref := &refDir{lines: make(map[uint64]*refLine)}
+	x := uint64(88172645463325252)
+	const blocks = 3000
+	for i := 0; i < 200000; i++ {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		b := 0x40000 + (x>>8)%blocks*64
+		node := int(x>>40) % 4
+		switch x % 7 {
+		case 0, 1, 2:
+			if got, want := d.Load(b, node), ref.load(b, node); got != want {
+				t.Fatalf("op %d: Load(%#x,%d) = %+v, want %+v", i, b, node, got, want)
+			}
+		case 3:
+			if got, want := d.Store(b, node), ref.store(b, node); got != want {
+				t.Fatalf("op %d: Store(%#x,%d) = %+v, want %+v", i, b, node, got, want)
+			}
+		case 4:
+			wantOK := ref.lines[b] == nil || ref.lines[b].state != Modified
+			want := Action{FlushFrom: -1}
+			if wantOK {
+				want = ref.store(b, node)
+			}
+			if got, ok := d.Upgrade(b, node); got != want || ok != wantOK {
+				t.Fatalf("op %d: Upgrade(%#x,%d) = %+v,%v, want %+v,%v", i, b, node, got, ok, want, wantOK)
+			}
+		default:
+			d.Evict(b, node)
+			ref.evict(b, node)
+		}
+	}
+	for k := uint64(0); k < blocks; k++ {
+		b := 0x40000 + k*64
+		want := Invalid
+		var sharers []int
+		if l := ref.lines[b]; l != nil {
+			want = l.state
+			for n := 0; n < 4; n++ {
+				if l.sharers&(1<<uint(n)) != 0 {
+					sharers = append(sharers, n)
+				}
+			}
+		}
+		if got := d.StateOf(b); got != want {
+			t.Fatalf("block %#x: state %v, want %v", b, got, want)
+		}
+		if got := d.Sharers(b); fmt.Sprint(got) != fmt.Sprint(sharers) {
+			t.Fatalf("block %#x: sharers %v, want %v", b, got, sharers)
+		}
+	}
+	if d.Invalidations != ref.invalidations || d.Flushes != ref.flushes {
+		t.Fatalf("counters: %d invalidations, %d flushes; want %d, %d",
+			d.Invalidations, d.Flushes, ref.invalidations, ref.flushes)
+	}
+}
+
+// mallocs returns the heap allocations fn performs, counted exactly
+// (testing.AllocsPerRun truncates a fractional per-call rate). The count
+// is process-wide, and the runtime itself now and then allocates — growing
+// a timer heap, starting a GC worker — so fn runs at GOMAXPROCS 1, as in
+// AllocsPerRun, up to three times, and the fewest allocations of any run
+// are returned: a runtime one-off does not repeat, while an allocation in
+// fn shows in every run.
+func mallocs(fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fewest := uint64(math.MaxUint64)
+	for i := 0; i < 3 && fewest > 0; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	return fewest
+}
+
+func TestSteadyStateRequestsAllocateNothing(t *testing.T) {
+	d := NewDirectory(4)
+	// A working set of L1-sized scale, churned by evictions: once the
+	// table has grown to it, requests reuse slots.
+	const blocks = 2048
+	op := func(i int) {
+		b := uint64(0x100000 + (i*7919)%blocks*64)
+		node := i % 4
+		switch i % 5 {
+		case 0, 1:
+			d.Load(b, node)
+		case 2:
+			d.Store(b, node)
+		case 3:
+			d.Upgrade(b, (node+1)%4)
+		default:
+			d.Evict(b, node)
+		}
+	}
+	for i := 0; i < 4*blocks; i++ {
+		op(i)
+	}
+	if n := mallocs(func() {
+		for i := 0; i < 200000; i++ {
+			op(i)
+		}
+	}); n != 0 {
+		t.Fatalf("every run of 200000 steady-state requests made at least %d heap allocations, want 0", n)
 	}
 }

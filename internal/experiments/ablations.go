@@ -185,25 +185,22 @@ func ExtLane() *Figure {
 		Benchmarks: workloads.Names(),
 	}
 	const degree = 4
-	mk := func(label string, lane *fullsys.TrainingLaneConfig) []fullsys.Result {
-		out := make([]fullsys.Result, len(workloads.Names()))
-		forEachWorkload("ext-lane/"+label, func(i int, w workloads.Workload) {
-			acfg := BaselineFor(w)
-			acfg.Degree = degree
-			acfg.ValueDelay = 1
-			cfg := fullsys.DefaultConfig()
-			cfg.Approx = &acfg
-			cfg.TrainingLane = lane
-			out[i] = runFullsys(w, cfg)
-		})
-		return out
-	}
-	precise := make([]fullsys.Result, len(workloads.Names()))
-	forEachWorkload("ext-lane/precise", func(i int, w workloads.Workload) {
+	n := len(workloads.Names())
+	precise := make([]fullsys.Result, n)
+	fast := make([]fullsys.Result, n)
+	slow := make([]fullsys.Result, n)
+	forEachWorkload("ext-lane", func(i int, w workloads.Workload) {
 		precise[i] = fullSystemSweep(w).precise
+		acfg := BaselineFor(w)
+		acfg.Degree = degree
+		acfg.ValueDelay = 1
+		cfg := fullsys.DefaultConfig()
+		cfg.Approx = &acfg
+		laned := cfg
+		laned.TrainingLane = fullsys.DefaultTrainingLane()
+		rs := runFullsys(w, []fullsys.Config{cfg, laned})
+		fast[i], slow[i] = rs[0], rs[1]
 	})
-	fast := mk("fast-lane", nil)
-	slow := mk("slow-lane", fullsys.DefaultTrainingLane())
 
 	speedFast := Row{Label: "speedup fast-lane"}
 	speedSlow := Row{Label: "speedup slow-lane"}

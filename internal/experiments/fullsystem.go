@@ -55,52 +55,96 @@ func cachedTrace(w workloads.Workload) *trace.Trace {
 	return cell.tr
 }
 
-// runFullsys runs one phase-2 configuration for w. With replay enabled it
-// streams the recorded precise grid trace from disk chunk by chunk —
-// fullsys never holds the flat trace in memory — and falls back to the
-// materialized in-memory capture when no recording is available.
-func runFullsys(w workloads.Workload, cfg fullsys.Config) fullsys.Result {
-	pc := provBegin(0)
-	label := "precise"
-	if cfg.Approx != nil {
-		label = "lva-d" + strconv.Itoa(cfg.Approx.Degree)
+// fullsysConfigs returns the phase-2 configurations of Figures 10 and 11:
+// precise first, then LVA at every degree in fullsysDegrees.
+func fullsysConfigs(w workloads.Workload) []fullsys.Config {
+	cfg := fullsys.DefaultConfig()
+	cfgs := []fullsys.Config{cfg}
+	for _, d := range fullsysDegrees {
+		acfg := BaselineFor(w)
+		acfg.Degree = d
+		// Full-system value delay is realistic (~1 load on average,
+		// §VI-E) rather than the conservative 4 of the design-space
+		// phase.
+		acfg.ValueDelay = 1
+		c := cfg
+		c.Approx = &acfg
+		cfgs = append(cfgs, c)
 	}
+	return cfgs
+}
+
+// fullsysLabel names a phase-2 configuration in provenance records.
+func fullsysLabel(cfg fullsys.Config) string {
+	if cfg.Approx == nil {
+		return "precise"
+	}
+	return "lva-d" + strconv.Itoa(cfg.Approx.Degree)
+}
+
+func newSims(cfgs []fullsys.Config) []*fullsys.Sim {
+	sims := make([]*fullsys.Sim, len(cfgs))
+	for i, c := range cfgs {
+		sims[i] = fullsys.New(c)
+	}
+	return sims
+}
+
+// runFullsys runs every phase-2 configuration for w in one pass. With
+// replay enabled it streams the recorded precise grid trace from disk
+// chunk by chunk, decoding it once for all configurations — fullsys never
+// holds the flat trace in memory — and falls back to the materialized
+// in-memory capture when no recording is available. Each configuration
+// gets its own provenance record.
+func runFullsys(w workloads.Workload, cfgs []fullsys.Config) []fullsys.Result {
+	pc := provBegin(0)
 	if replayEnabled() {
 		if st := ensureStream(streamPrecise, w, DefaultSeed); st.path != "" {
-			if r, err := streamFullsys(cfg, st); err == nil {
+			if rs, err := streamFullsys(cfgs, st); err == nil {
 				if pc.on() {
-					key := runKey("fullsys", w, label, DefaultSeed)
-					pc.point("fullsys", w.Name()+"/"+label, "fullsys", prov.RouteReplay,
-						prov.CounterNone, provWhyStream, key, st, provStagesStream, "")
-					pc.stage("fullsys "+w.Name()+"/"+label, "f", st.hdr.Key,
-						map[string]any{"route": "replay", "workload": w.Name()})
+					for _, cfg := range cfgs {
+						label := fullsysLabel(cfg)
+						key := runKey("fullsys", w, label, DefaultSeed)
+						pc.point("fullsys", w.Name()+"/"+label, "fullsys", prov.RouteReplay,
+							prov.CounterNone, provWhyStream, key, st, provStagesStream, "")
+						pc.stage("fullsys "+w.Name()+"/"+label, "f", st.hdr.Key,
+							map[string]any{"route": "replay", "workload": w.Name()})
+					}
 				}
-				return r
+				return rs
 			}
 		}
 	}
-	r := fullsys.New(cfg).Run(cachedTrace(w))
-	if pc.on() {
-		key := runKey("fullsys", w, label, DefaultSeed)
-		pc.point("fullsys", w.Name()+"/"+label, "fullsys", prov.RouteExec,
-			prov.CounterNone, provWhyCapture, key, nil, provStagesRunExec, "")
-		pc.stage("fullsys "+w.Name()+"/"+label, "", "",
-			map[string]any{"route": "exec", "workload": w.Name()})
+	rs, err := fullsys.ReplayTrace(cachedTrace(w), newSims(cfgs))
+	if err != nil {
+		// The configurations share DefaultConfig's core count, and an
+		// in-memory trace has no decode step: no error can occur.
+		panic(err)
 	}
-	return r
+	if pc.on() {
+		for _, cfg := range cfgs {
+			label := fullsysLabel(cfg)
+			key := runKey("fullsys", w, label, DefaultSeed)
+			pc.point("fullsys", w.Name()+"/"+label, "fullsys", prov.RouteExec,
+				prov.CounterNone, provWhyCapture, key, nil, provStagesRunExec, "")
+			pc.stage("fullsys "+w.Name()+"/"+label, "", "",
+				map[string]any{"route": "exec", "workload": w.Name()})
+		}
+	}
+	return rs
 }
 
-func streamFullsys(cfg fullsys.Config, st *gridStream) (fullsys.Result, error) {
+func streamFullsys(cfgs []fullsys.Config, st *gridStream) ([]fullsys.Result, error) {
 	f, err := os.Open(st.path)
 	if err != nil {
-		return fullsys.Result{}, err
+		return nil, err
 	}
 	defer f.Close()
 	gr, err := trace.NewGridReader(bufio.NewReaderSize(f, 1<<16))
 	if err != nil {
-		return fullsys.Result{}, err
+		return nil, err
 	}
-	return fullsys.New(cfg).RunStream(st.hdr.Threads, gr)
+	return fullsys.Replay(gr, st.hdr.Threads, newSims(cfgs))
 }
 
 type fsCell struct {
@@ -117,20 +161,10 @@ func fullSystemSweep(w workloads.Workload) *fullsysRun {
 	c, _ := fsCells.LoadOrStore(w.Name(), &fsCell{})
 	cell := c.(*fsCell)
 	cell.once.Do(func() {
-		run := &fullsysRun{byDeg: make(map[int]fullsys.Result)}
-		cfg := fullsys.DefaultConfig()
-		run.precise = runFullsys(w, cfg)
-
-		for _, d := range fullsysDegrees {
-			acfg := BaselineFor(w)
-			acfg.Degree = d
-			// Full-system value delay is realistic (~1 load on average,
-			// §VI-E) rather than the conservative 4 of the design-space
-			// phase.
-			acfg.ValueDelay = 1
-			c := cfg
-			c.Approx = &acfg
-			run.byDeg[d] = runFullsys(w, c)
+		rs := runFullsys(w, fullsysConfigs(w))
+		run := &fullsysRun{precise: rs[0], byDeg: make(map[int]fullsys.Result)}
+		for i, d := range fullsysDegrees {
+			run.byDeg[d] = rs[i+1]
 		}
 		cell.r = run
 	})

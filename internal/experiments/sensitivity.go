@@ -41,15 +41,13 @@ func ExtMLP() *Figure {
 			base := fullsys.DefaultConfig()
 			base.ROB = m.rob
 			base.MSHRs = m.mshrs
-			precise := runFullsys(w, base)
-
 			acfg := BaselineFor(w)
 			acfg.ValueDelay = 1
 			lvaCfg := base
 			lvaCfg.Approx = &acfg
-			lva := runFullsys(w, lvaCfg)
+			rs := runFullsys(w, []fullsys.Config{base, lvaCfg})
 
-			row.Values[i] = float64(precise.Cycles)/float64(lva.Cycles) - 1
+			row.Values[i] = float64(rs[0].Cycles)/float64(rs[1].Cycles) - 1
 		})
 		f.Rows = append(f.Rows, row)
 	}

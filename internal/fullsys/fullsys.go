@@ -16,7 +16,7 @@ package fullsys
 
 import (
 	"fmt"
-	"io"
+	"math/bits"
 
 	"lva/internal/cache"
 	"lva/internal/coherence"
@@ -24,7 +24,6 @@ import (
 	"lva/internal/dram"
 	"lva/internal/energy"
 	"lva/internal/noc"
-	"lva/internal/obs/prov"
 	"lva/internal/trace"
 )
 
@@ -210,10 +209,11 @@ type pendingMiss struct {
 
 type coreState struct {
 	id      int
-	accs    []trace.Access
-	pos     int
-	seen    int    // accesses consumed (accs may be a compacted window)
-	cycleQ  uint64 // quarter-cycles (4-wide issue)
+	blk     *qblock // this sim's cursor into the core's shared queue
+	pos     int     // next unsimulated entry of blk
+	active  bool    // a stream thread maps here and the stream is not exhausted
+	seen    int     // accesses consumed
+	cycleQ  uint64  // quarter-cycles (4-wide issue)
 	insts   uint64
 	pending []pendingMiss
 	mshr    []uint64 // completion times of in-flight fetches
@@ -222,7 +222,8 @@ type coreState struct {
 
 func (c *coreState) cycles() uint64 { return c.cycleQ / 4 }
 
-// Sim is the full-system simulator. Build with New, feed a trace with Run.
+// Sim is the full-system simulator. Build with New, feed a trace with Run,
+// RunStream or, several sims sharing one decode pass, Replay.
 type Sim struct {
 	cfg   Config
 	mesh  *noc.Mesh
@@ -267,151 +268,47 @@ func (s *Sim) homeOf(block uint64) int {
 	return int((block >> 6) % uint64(s.cfg.Cores))
 }
 
-// newCores builds the per-core replay state.
-func (s *Sim) newCores() []*coreState {
+// newCores builds the per-core replay state, each cursor at the head of
+// its core's queue in q. Thread t of a threads-thread stream maps to core
+// t mod Cores; only cores with a mapped thread start active.
+func (s *Sim) newCores(q *queue, threads int) []*coreState {
 	cores := make([]*coreState, s.cfg.Cores)
 	for i := range cores {
-		cores[i] = &coreState{id: i}
+		cores[i] = &coreState{id: i, blk: q.tails[i]}
 		if s.cfg.Approx != nil {
 			cores[i].approx = core.New(*s.cfg.Approx)
 		}
 	}
+	for t := 0; t < threads && t < len(cores); t++ {
+		cores[t].active = true
+	}
 	return cores
 }
 
-// Run replays the trace and returns the metrics. Each trace thread maps to
-// one core. Run may be called once per Sim.
+// Run replays an in-memory trace and returns the metrics. Each trace
+// thread maps to one core. Run may be called once per Sim.
 func (s *Sim) Run(tr *trace.Trace) Result {
-	cores := s.newCores()
-	// Count each core's share first so the per-core queues are allocated
-	// exactly once instead of growing through repeated copies of
-	// multi-million-access traces.
-	counts := make([]int, s.cfg.Cores)
-	for i := range tr.Accesses {
-		counts[int(tr.Accesses[i].Thread)%s.cfg.Cores]++
-	}
-	for i, c := range cores {
-		c.accs = make([]trace.Access, 0, counts[i])
-	}
-	for _, a := range tr.Accesses {
-		c := cores[int(a.Thread)%s.cfg.Cores]
-		c.accs = append(c.accs, a)
-	}
-
-	// Advance cores one access at a time, always the core whose next
-	// access will issue earliest (its current time plus the compute gap
-	// before the access). Shared-resource reservations (links, L2 banks,
-	// DRAM) then occur in near-global time order, which the monotonic
-	// busy-until contention model requires; residual leapfrogging from
-	// ROB/MSHR stalls is bounded by one miss latency.
-	for {
-		var next *coreState
-		var nextKey uint64
-		for _, c := range cores {
-			if c.pos >= len(c.accs) {
-				continue
-			}
-			key := c.cycleQ + uint64(c.accs[c.pos].Gap)
-			if next == nil || key < nextKey {
-				next, nextKey = c, key
-			}
-		}
-		if next == nil {
-			break
-		}
-		s.step(next)
-	}
-
-	return s.finish(cores)
+	// One sim from memory: no decode error and no core-count mismatch
+	// can occur.
+	res, _ := ReplayTrace(tr, []*Sim{s})
+	return res[0]
 }
 
-// RunStream replays a grid stream chunk by chunk, never materializing the
-// whole trace: each core keeps a bounded queue of not-yet-simulated
-// accesses, refilled from the source whenever an active core runs dry, and
-// consumed prefixes are compacted away before each refill. threads is the
-// stream's thread count (GridHeader.Threads); thread t maps to core
-// t mod Cores, and only cores with at least one mapped thread participate
-// in refill demand. The pick order — always the core whose next access
-// issues earliest — is identical to Run's, because before every pick each
-// participating core either has its true next access queued or the stream
-// is exhausted. Memory stays bounded by chunk size times thread skew for
-// interleaved streams; a stream whose threads run in disjoint phases
-// degrades gracefully to buffering (correctness is unaffected).
-// RunStream may be called once per Sim.
+// RunStream replays a grid stream chunk by chunk through Replay's shared
+// per-core queue; threads is the stream's thread count
+// (GridHeader.Threads). Memory is bounded by the accesses decoded but not
+// yet simulated. The recorded kernels assign threads in contiguous blocks,
+// so no core can step until the last thread's first access is decoded: a
+// replay holds about three quarters of the stream at its first step, in
+// fixed-size blocks with no doubling slack, and releases blocks as the
+// cores drain them. Streams whose threads interleave finely hold at most
+// about two blocks per core. RunStream may be called once per Sim.
 func (s *Sim) RunStream(threads int, src trace.ChunkSource) (Result, error) {
-	cores := s.newCores()
-	active := make([]bool, s.cfg.Cores)
-	for t := 0; t < threads; t++ {
-		active[t%s.cfg.Cores] = true
+	res, err := Replay(src, threads, []*Sim{s})
+	if err != nil {
+		return Result{}, err
 	}
-	needRefill := func() bool {
-		for i, c := range cores {
-			if active[i] && c.pos >= len(c.accs) {
-				return true
-			}
-		}
-		return false
-	}
-	eof := false
-	var chunks, accesses uint64
-	refill := func() error {
-		if eof || !needRefill() {
-			return nil
-		}
-		// About to grow queues: drop consumed prefixes first so memory is
-		// bounded by the unconsumed windows, not the whole stream.
-		for _, c := range cores {
-			if c.pos > 0 {
-				c.accs = c.accs[:copy(c.accs, c.accs[c.pos:])]
-				c.pos = 0
-			}
-		}
-		for !eof && needRefill() {
-			accs, _, err := src.Next()
-			if err == io.EOF {
-				eof = true
-				return nil
-			}
-			if err != nil {
-				return err
-			}
-			chunks++
-			accesses += uint64(len(accs))
-			for _, a := range accs {
-				c := cores[int(a.Thread)%s.cfg.Cores]
-				c.accs = append(c.accs, a)
-			}
-		}
-		return nil
-	}
-
-	for {
-		if err := refill(); err != nil {
-			return Result{}, err
-		}
-		var next *coreState
-		var nextKey uint64
-		for _, c := range cores {
-			if c.pos >= len(c.accs) {
-				continue
-			}
-			key := c.cycleQ + uint64(c.accs[c.pos].Gap)
-			if next == nil || key < nextKey {
-				next, nextKey = c, key
-			}
-		}
-		if next == nil {
-			break
-		}
-		s.step(next)
-	}
-
-	// One provenance cost sample per streamed run, only when a ledger is
-	// active.
-	if l := prov.Active(); l != nil {
-		l.AddStream(chunks, accesses)
-	}
-	return s.finish(cores), nil
+	return res[0], nil
 }
 
 // finish drains outstanding misses and assembles the Result.
@@ -478,9 +375,8 @@ func (s *Sim) retire(c *coreState, instsAboutToBe uint64) {
 	}
 }
 
-func (s *Sim) step(c *coreState) {
-	a := c.accs[c.pos]
-	c.pos++
+// step simulates access a on core c.
+func (s *Sim) step(c *coreState, a *trace.Access) {
 	c.seen++
 
 	// Non-memory instructions since the previous access on this thread.
@@ -501,8 +397,8 @@ func (s *Sim) step(c *coreState) {
 		s.res.Stores++
 		if s.l1[c.id].Store(a.Addr) {
 			// Hit: may still need ownership.
-			if s.dir.StateOf(block) != coherence.Modified {
-				s.storeUpgrade(c.id, block, now)
+			if act, ok := s.dir.Upgrade(block, c.id); ok {
+				s.storeUpgrade(c.id, block, act, now)
 			}
 			return
 		}
@@ -581,13 +477,12 @@ func (s *Sim) issueFetch(c *coreState, block uint64, store, training bool) uint6
 	return done
 }
 
-// storeUpgrade obtains Modified permission for a block already present in
-// the requester's L1 (invalidations travel the NoC; the store buffer hides
-// the latency from the core).
-func (s *Sim) storeUpgrade(node int, block uint64, now uint64) {
+// storeUpgrade carries out the directory's upgrade action act for a block
+// already present in the requester's L1 (invalidations travel the NoC; the
+// store buffer hides the latency from the core).
+func (s *Sim) storeUpgrade(node int, block uint64, act coherence.Action, now uint64) {
 	home := s.homeOf(block)
 	t := s.mesh.SendCtrl(node, home, now)
-	act := s.dir.Store(block, node)
 	t = s.coherenceActions(act, home, block, t)
 	s.mesh.SendCtrl(home, node, t) // ack
 }
@@ -605,7 +500,8 @@ func (s *Sim) coherenceActions(act coherence.Action, home int, block uint64, t u
 			latest = ft
 		}
 	}
-	for _, n := range act.Invalidate {
+	for m := act.Invalidate; m != 0; m &= m - 1 {
+		n := bits.TrailingZeros64(m)
 		it := s.mesh.SendCtrl(home, n, t)
 		s.l1[n].Invalidate(block)
 		s.tally.L1Accesses++

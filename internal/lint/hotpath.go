@@ -7,11 +7,11 @@ import (
 )
 
 // hotpathAnalyzer keeps the per-load machinery of the simulator packages
-// (memsim, cache, core) devirtualized and allocation-free. The phase-1
-// figures run hundreds of millions of loads; a single interface call or
-// boxing conversion on that path costs more than the entire modeled work
-// per access. Inside functions whose name marks them as per-access
-// machinery, it forbids:
+// (hotPathPkgs: memsim, cache, core, prefetch, noc, coherence, ...)
+// devirtualized and allocation-free. The phase-1 figures run hundreds of
+// millions of loads; a single interface call or boxing conversion on that
+// path costs more than the entire modeled work per access. Inside
+// functions whose name marks them as per-access machinery, it forbids:
 //
 //   - interface-typed parameters: they force dynamic dispatch on every
 //     access and block inlining. Hot callees take concrete types (*Sim,
@@ -48,8 +48,8 @@ func isHotFunc(name string) bool {
 }
 
 func runHotpath(p *Pass) {
-	// Like obshooks, hotpath targets the three named hot-path packages;
-	// only its own fixtures opt in.
+	// Like obshooks, hotpath targets the named hot-path packages; only
+	// its own fixtures opt in.
 	if !hotPathPkgs[p.Pkg.Path] &&
 		!(isFixturePath(p.Pkg.Path) && strings.Contains(p.Pkg.Path, "hotpath")) {
 		return

@@ -33,7 +33,9 @@ var obshooksAnalyzer = &Analyzer{
 
 // hotPathPkgs are the packages on the per-load simulation path. The trace
 // package is here for its grid capture sink: (*GridWriter).Access runs on
-// every access of a recording run.
+// every access of a recording run. prefetch runs on every phase-1 miss
+// under the prefetch attachment, and noc and coherence on every phase-2
+// fetch.
 var hotPathPkgs = map[string]bool{
 	"lva/internal/memsim":    true,
 	"lva/internal/cache":     true,
@@ -42,6 +44,9 @@ var hotPathPkgs = map[string]bool{
 	"lva/internal/obs/phase": true,
 	"lva/internal/obs/prov":  true,
 	"lva/internal/trace":     true,
+	"lva/internal/prefetch":  true,
+	"lva/internal/noc":       true,
+	"lva/internal/coherence": true,
 }
 
 // attrSeamPkgs additionally ban fmt outright (not just in hot-named

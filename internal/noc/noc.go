@@ -39,11 +39,6 @@ func (c Config) Validate() error {
 // Nodes returns the node count.
 func (c Config) Nodes() int { return c.Width * c.Height }
 
-// link identifies a directed channel between adjacent routers.
-type link struct {
-	from, to int
-}
-
 // Stats counts NoC activity.
 type Stats struct {
 	Packets  uint64
@@ -52,17 +47,70 @@ type Stats struct {
 
 // Mesh is the interconnect model. Not safe for concurrent use.
 type Mesh struct {
-	cfg      Config
-	linkFree map[link]uint64
-	stats    Stats
+	cfg   Config
+	nodes int
+	// Every directed channel between adjacent routers has a dense id:
+	// node*4 + direction (linkEast, linkWest, linkSouth, linkNorth).
+	// linkFree holds each channel's busy-until time.
+	linkFree []uint64
+	// The XY route from src to dst, as link ids, is
+	// routeLinks[routeAt[r]:routeAt[r+1]] with r = src*nodes + dst;
+	// precomputed at New so Send neither routes nor allocates.
+	routeLinks []int32
+	routeAt    []int32
+	stats      Stats
 }
 
-// New builds a mesh; it panics on an invalid Config.
+// Directions of a channel leaving a router, the low two bits of a link id.
+const (
+	linkEast = iota
+	linkWest
+	linkSouth
+	linkNorth
+	linksPerNode
+)
+
+// New builds a mesh; it panics on an invalid Config. It precomputes every
+// node pair's route, so its cost grows with the square of the node count
+// times the mesh diameter.
 func New(cfg Config) *Mesh {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Mesh{cfg: cfg, linkFree: make(map[link]uint64)}
+	n := cfg.Nodes()
+	m := &Mesh{
+		cfg:      cfg,
+		nodes:    n,
+		linkFree: make([]uint64, n*linksPerNode),
+		routeAt:  make([]int32, 0, n*n+1),
+	}
+	m.routeAt = append(m.routeAt, 0)
+	for src := 0; src < n; src++ {
+		for dst := 0; dst < n; dst++ {
+			path := m.Route(src, dst)
+			for i := 0; i+1 < len(path); i++ {
+				m.routeLinks = append(m.routeLinks, int32(m.linkID(path[i], path[i+1])))
+			}
+			m.routeAt = append(m.routeAt, int32(len(m.routeLinks)))
+		}
+	}
+	return m
+}
+
+// linkID returns the dense id of the channel from node a to adjacent b.
+func (m *Mesh) linkID(a, b int) int {
+	ax, ay := m.coord(a)
+	bx, by := m.coord(b)
+	dir := linkNorth
+	switch {
+	case bx > ax:
+		dir = linkEast
+	case bx < ax:
+		dir = linkWest
+	case by > ay:
+		dir = linkSouth
+	}
+	return a*linksPerNode + dir
 }
 
 // Config returns the mesh configuration.
@@ -98,8 +146,14 @@ func (m *Mesh) Route(src, dst int) []int {
 	return path
 }
 
+// routeOf returns the precomputed link ids of the src->dst route.
+func (m *Mesh) routeOf(src, dst int) []int32 {
+	r := src*m.nodes + dst
+	return m.routeLinks[m.routeAt[r]:m.routeAt[r+1]]
+}
+
 // Hops returns the XY hop count between two nodes.
-func (m *Mesh) Hops(src, dst int) int { return len(m.Route(src, dst)) - 1 }
+func (m *Mesh) Hops(src, dst int) int { return len(m.routeOf(src, dst)) }
 
 // Send injects a packet of `flits` flits at time `now` and returns its
 // arrival time at dst. Each directed link serializes: a packet holds the
@@ -110,18 +164,14 @@ func (m *Mesh) Send(src, dst int, flits int, now uint64) uint64 {
 	if src == dst {
 		return now
 	}
-	path := m.Route(src, dst)
+	route := m.routeOf(src, dst)
 	t := now
-	for i := 0; i+1 < len(path); i++ {
-		l := link{from: path[i], to: path[i+1]}
-		depart := t
-		if free := m.linkFree[l]; free > depart {
-			depart = free
-		}
+	for _, l := range route {
+		depart := max(t, m.linkFree[l])
 		m.linkFree[l] = depart + uint64(flits)
 		t = depart + m.cfg.RouterCycles + m.cfg.LinkCycles
-		m.stats.FlitHops += uint64(flits)
 	}
+	m.stats.FlitHops += uint64(flits) * uint64(len(route))
 	// Tail flits serialize onto the final hop.
 	return t + uint64(flits) - 1
 }
@@ -138,6 +188,6 @@ func (m *Mesh) SendData(src, dst int, now uint64) uint64 {
 
 // Reset clears link reservations and statistics.
 func (m *Mesh) Reset() {
-	m.linkFree = make(map[link]uint64)
+	clear(m.linkFree)
 	m.stats = Stats{}
 }

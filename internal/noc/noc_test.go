@@ -1,6 +1,8 @@
 package noc
 
 import (
+	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -160,5 +162,95 @@ func TestReset(t *testing.T) {
 	// the uncontended latency again.
 	if got := m.SendData(0, 1, 0); got != 4+4 {
 		t.Fatalf("post-reset latency = %d", got)
+	}
+}
+
+// refMesh is the link-reservation model with routes computed per packet
+// and reservations keyed by (from, to) node pairs: the reference the
+// precomputed dense-link mesh must match.
+type refMesh struct {
+	m        *Mesh
+	linkFree map[[2]int]uint64
+	flitHops uint64
+}
+
+func (r *refMesh) send(src, dst, flits int, now uint64) uint64 {
+	if src == dst {
+		return now
+	}
+	path := r.m.Route(src, dst)
+	t := now
+	for i := 0; i+1 < len(path); i++ {
+		l := [2]int{path[i], path[i+1]}
+		depart := max(t, r.linkFree[l])
+		r.linkFree[l] = depart + uint64(flits)
+		t = depart + r.m.cfg.RouterCycles + r.m.cfg.LinkCycles
+		r.flitHops += uint64(flits)
+	}
+	return t + uint64(flits) - 1
+}
+
+// TestSendMatchesReferenceModel drives contended random traffic through
+// meshes of several shapes and checks every arrival time, every hop count
+// and the flit-hop total (sum of flits x XY route length) against the
+// reference model.
+func TestSendMatchesReferenceModel(t *testing.T) {
+	for _, shape := range [][2]int{{2, 2}, {4, 3}, {1, 4}, {5, 1}} {
+		cfg := Config{Width: shape[0], Height: shape[1], RouterCycles: 3, LinkCycles: 1, CtrlFlits: 1, DataFlits: 5}
+		n := cfg.Nodes()
+		f := func(sends []uint16) bool {
+			m := New(cfg)
+			ref := &refMesh{m: New(cfg), linkFree: make(map[[2]int]uint64)}
+			now := uint64(0)
+			for _, p := range sends {
+				src, dst := int(p)%n, int(p>>4)%n
+				flits := 1 + int(p>>8)%6
+				if m.Send(src, dst, flits, now) != ref.send(src, dst, flits, now) {
+					return false
+				}
+				if m.Hops(src, dst) != len(m.Route(src, dst))-1 {
+					return false
+				}
+				now += uint64(p % 3)
+			}
+			st := m.Stats()
+			return st.FlitHops == ref.flitHops && st.Packets == uint64(len(sends))
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Fatalf("%dx%d mesh: %v", shape[0], shape[1], err)
+		}
+	}
+}
+
+// mallocs returns the heap allocations fn performs, counted exactly
+// (testing.AllocsPerRun truncates a fractional per-call rate). The count
+// is process-wide, and the runtime itself now and then allocates — growing
+// a timer heap, starting a GC worker — so fn runs at GOMAXPROCS 1, as in
+// AllocsPerRun, up to three times, and the fewest allocations of any run
+// are returned: a runtime one-off does not repeat, while an allocation in
+// fn shows in every run.
+func mallocs(fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fewest := uint64(math.MaxUint64)
+	for i := 0; i < 3 && fewest > 0; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	return fewest
+}
+
+func TestSendAllocatesNothing(t *testing.T) {
+	m := New(DefaultConfig())
+	if n := mallocs(func() {
+		for i := 0; i < 100000; i++ {
+			src, dst := i%4, (i/4)%4
+			m.SendCtrl(src, dst, uint64(i))
+			m.SendData(dst, src, uint64(i))
+		}
+	}); n != 0 {
+		t.Fatalf("every run of 200000 sends made at least %d heap allocations, want 0", n)
 	}
 }

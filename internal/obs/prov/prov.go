@@ -117,7 +117,7 @@ type Cost struct {
 }
 
 // CostStats is a snapshot of the ledger's volatile decode/stream
-// accounting, fed by memsim.Replay and fullsys.RunStream.
+// accounting, fed by memsim.Replay and fullsys.Replay.
 type CostStats struct {
 	// DecodePasses counts grid decode passes driven through
 	// memsim.Replay while the ledger was active.
@@ -132,7 +132,8 @@ type CostStats struct {
 	// pass fans each access out to every pending design point).
 	ReplaySims uint64
 	// StreamedChunks / StreamedAccesses count phase-2 full-system
-	// streaming volume (fullsys.RunStream).
+	// streaming volume (fullsys.Replay), once per simulated
+	// configuration.
 	StreamedChunks   uint64
 	StreamedAccesses uint64
 }
@@ -278,7 +279,8 @@ func (l *Ledger) AddDecodedBytes(n uint64) {
 	l.decodedBytes.Add(n)
 }
 
-// AddStream accounts phase-2 streaming volume (fullsys.RunStream).
+// AddStream accounts phase-2 streaming volume: one call per simulated
+// configuration of a fullsys.Replay pass.
 func (l *Ledger) AddStream(chunks, accesses uint64) {
 	if l == nil {
 		return

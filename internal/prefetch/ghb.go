@@ -74,6 +74,8 @@ type Prefetcher struct {
 	seq   uint64
 	index []indexEntry
 	stats Stats
+	// targets is OnMiss's result buffer, reused across calls.
+	targets []uint64
 }
 
 // New builds a prefetcher; it panics on an invalid Config.
@@ -82,9 +84,10 @@ func New(cfg Config) *Prefetcher {
 		panic(err)
 	}
 	p := &Prefetcher{
-		cfg:   cfg,
-		ghb:   make([]ghbEntry, cfg.GHBEntries),
-		index: make([]indexEntry, cfg.IndexEntries),
+		cfg:     cfg,
+		ghb:     make([]ghbEntry, cfg.GHBEntries),
+		index:   make([]indexEntry, cfg.IndexEntries),
+		targets: make([]uint64, 0, cfg.Degree),
 	}
 	for i := range p.ghb {
 		p.ghb[i].prev = -1
@@ -106,29 +109,47 @@ func (p *Prefetcher) indexSlot(pc uint64) int {
 	return int(h & uint64(p.cfg.IndexEntries-1))
 }
 
-// history walks the link chain for pc's slot and returns up to max most
-// recent miss addresses (newest first), starting from the just-inserted one.
-func (p *Prefetcher) history(start int, max int) []uint64 {
-	addrs := make([]uint64, 0, max)
+// history walks the link chain for pc's slot into buf and returns the
+// most recent miss addresses (newest first), starting from the
+// just-inserted one, at most len(buf) of them.
+func (p *Prefetcher) history(start int, buf *[4]uint64) []uint64 {
+	n := 0
 	pos := start
 	var expect uint64 = p.ghb[start].seq
-	for pos >= 0 && len(addrs) < max {
+	for pos >= 0 && n < len(buf) {
 		e := p.ghb[pos]
 		if e.seq != expect {
 			break // FIFO overwrote this link target
 		}
-		addrs = append(addrs, e.addr)
+		buf[n] = e.addr
+		n++
 		pos = e.prev
 		expect = e.pseq
 	}
-	return addrs
+	return buf[:n]
+}
+
+// add appends a to the pending targets unless it is the demand block, is
+// already listed, or the list is full (Degree entries). The list is at
+// most Degree long, so a linear scan beats any set.
+func (p *Prefetcher) add(blockAddr, a uint64) {
+	if a == blockAddr || len(p.targets) >= p.cfg.Degree {
+		return
+	}
+	for _, t := range p.targets {
+		if t == a {
+			return
+		}
+	}
+	p.targets = append(p.targets, a)
 }
 
 // OnMiss records a demand miss (block-aligned address) for the given load
 // PC and returns the block addresses to prefetch, at most Degree of them.
 // Local delta correlation: the deltas between this PC's recent misses are
 // matched and extended; when no correlated pattern exists the prefetcher
-// falls back to next-line.
+// falls back to next-line. The returned slice is the prefetcher's own
+// buffer: it is valid until the next call, so callers consume it at once.
 func (p *Prefetcher) OnMiss(pc, blockAddr uint64) []uint64 {
 	p.stats.Misses++
 	slot := p.indexSlot(pc)
@@ -150,15 +171,9 @@ func (p *Prefetcher) OnMiss(pc, blockAddr uint64) []uint64 {
 		return nil
 	}
 
-	hist := p.history(inserted, 4) // newest first: current, m1, m2, m3
-	targets := make([]uint64, 0, p.cfg.Degree)
-	seen := map[uint64]bool{blockAddr: true}
-	add := func(a uint64) {
-		if !seen[a] && len(targets) < p.cfg.Degree {
-			seen[a] = true
-			targets = append(targets, a)
-		}
-	}
+	var buf [4]uint64
+	hist := p.history(inserted, &buf) // newest first: current, m1, m2, m3
+	p.targets = p.targets[:0]
 
 	if len(hist) >= 2 {
 		d1 := int64(hist[0]) - int64(hist[1])
@@ -177,21 +192,21 @@ func (p *Prefetcher) OnMiss(pc, blockAddr uint64) []uint64 {
 				if next < 0 {
 					break
 				}
-				add(uint64(next))
+				p.add(blockAddr, uint64(next))
 			}
 		}
 	}
-	if len(targets) == 0 {
+	if len(p.targets) == 0 {
 		// Next-line fallback.
 		p.stats.NextLine++
 		next := blockAddr
 		for i := 0; i < p.cfg.Degree; i++ {
 			next += uint64(p.cfg.BlockBytes)
-			add(next)
+			p.add(blockAddr, next)
 		}
 	}
-	p.stats.Issued += uint64(len(targets))
-	return targets
+	p.stats.Issued += uint64(len(p.targets))
+	return p.targets
 }
 
 // Reset clears history and statistics, keeping the configuration.

@@ -1,6 +1,8 @@
 package prefetch
 
 import (
+	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -90,12 +92,11 @@ func TestPerPCHistories(t *testing.T) {
 		p.OnMiss(0x101, uint64(i)*64)
 		p.OnMiss(0x202, uint64(i)*320)
 	}
-	t1 := p.OnMiss(0x101, 3*64)
-	t2 := p.OnMiss(0x202, 3*320)
-	if t1[0] != 4*64 {
+	// OnMiss's result is valid until the next call: check each at once.
+	if t1 := p.OnMiss(0x101, 3*64); t1[0] != 4*64 {
 		t.Fatalf("pc1 stride target = %d, want %d", t1[0], 4*64)
 	}
-	if t2[0] != 4*320 {
+	if t2 := p.OnMiss(0x202, 3*320); t2[0] != 4*320 {
 		t.Fatalf("pc2 stride target = %d, want %d", t2[0], 4*320)
 	}
 }
@@ -161,5 +162,49 @@ func TestNegativeDeltaPattern(t *testing.T) {
 	targets := p.OnMiss(0x400, 896)
 	if targets[0] != 832 {
 		t.Fatalf("descending stride target = %d, want 832", targets[0])
+	}
+}
+
+// mallocs returns the heap allocations fn performs, counted exactly
+// (testing.AllocsPerRun truncates a fractional per-call rate). The count
+// is process-wide, and the runtime itself now and then allocates — growing
+// a timer heap, starting a GC worker — so fn runs at GOMAXPROCS 1, as in
+// AllocsPerRun, up to three times, and the fewest allocations of any run
+// are returned: a runtime one-off does not repeat, while an allocation in
+// fn shows in every run.
+func mallocs(fn func()) uint64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fewest := uint64(math.MaxUint64)
+	for i := 0; i < 3 && fewest > 0; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.Mallocs-before.Mallocs)
+	}
+	return fewest
+}
+
+func TestOnMissAllocatesNothing(t *testing.T) {
+	for _, degree := range []int{1, 4, 16} {
+		cfg := DefaultConfig()
+		cfg.Degree = degree
+		p := New(cfg)
+		issued := 0
+		n := mallocs(func() {
+			for i := 0; i < 50000; i++ {
+				// Strided PCs take the delta path, scattered ones the
+				// next-line fallback.
+				pc := uint64(0x400 + i%16*4)
+				addr := uint64(i%16)<<20 + uint64(i/16)*uint64(64*(1+i%3))
+				issued += len(p.OnMiss(pc, addr))
+			}
+		})
+		if n != 0 {
+			t.Errorf("degree %d: every run of 50000 misses made at least %d heap allocations, want 0", degree, n)
+		}
+		if st := p.Stats(); issued == 0 || st.DeltaHit == 0 || st.NextLine == 0 {
+			t.Errorf("degree %d: stream must exercise both paths: %+v", degree, st)
+		}
 	}
 }
