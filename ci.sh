@@ -3,6 +3,7 @@
 # pushing; .github/workflows/ci.yml runs the same steps.
 #
 #   build  — go build ./...
+#   fmt    — gofmt -l . must list nothing
 #   vet    — go vet ./...
 #   lint   — go run ./cmd/lvalint ./...   (project invariants, see DESIGN.md)
 #   test   — go test ./...
@@ -118,6 +119,13 @@ if [[ "${1:-}" == "overhead" ]]; then
 fi
 
 step go build ./...
+echo "==> gofmt -l ."
+unformatted="$(gofmt -l .)"
+if [[ -n "${unformatted}" ]]; then
+    echo "ci.sh: gofmt would reformat these files (run gofmt -w on them):" >&2
+    echo "${unformatted}" >&2
+    exit 1
+fi
 step go vet ./...
 # The lint step runs the whole dataflow suite (call graph + taint + a
 # compile per hot-path package for allocbudget), so its wall time gets its

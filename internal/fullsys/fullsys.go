@@ -215,8 +215,8 @@ type coreState struct {
 	seen    int     // accesses consumed
 	cycleQ  uint64  // quarter-cycles (4-wide issue)
 	insts   uint64
-	pending []pendingMiss
-	mshr    []uint64 // completion times of in-flight fetches
+	pending []pendingMiss // outstanding demand misses, oldest first; at most ROB
+	mshr    []uint64      // completion times of in-flight fetches; at most MSHRs
 	approx  *core.Approximator
 }
 
@@ -274,7 +274,12 @@ func (s *Sim) homeOf(block uint64) int {
 func (s *Sim) newCores(q *queue, threads int) []*coreState {
 	cores := make([]*coreState, s.cfg.Cores)
 	for i := range cores {
-		cores[i] = &coreState{id: i, blk: q.tails[i]}
+		cores[i] = &coreState{
+			id:      i,
+			blk:     q.tails[i],
+			pending: make([]pendingMiss, 0, s.cfg.ROB),
+			mshr:    make([]uint64, 0, s.cfg.MSHRs),
+		}
 		if s.cfg.Approx != nil {
 			cores[i].approx = core.New(*s.cfg.Approx)
 		}
@@ -359,20 +364,37 @@ func (s *Sim) finish(cores []*coreState) Result {
 }
 
 // retire pops misses that completed by now and stalls on the oldest one if
-// the ROB would overflow.
+// the ROB would overflow, compacting the survivors to the buffer's front.
+// It leaves only misses with instsAboutToBe - atInst < ROB, whose atInst
+// are distinct, so with the one addPending that may follow, the buffer
+// never holds more than ROB entries.
 func (s *Sim) retire(c *coreState, instsAboutToBe uint64) {
-	for len(c.pending) > 0 && c.pending[0].completeAt*4 <= c.cycleQ {
-		c.pending = c.pending[1:]
+	k := 0
+	for k < len(c.pending) && c.pending[k].completeAt*4 <= c.cycleQ {
+		k++
 	}
-	for len(c.pending) > 0 && instsAboutToBe-c.pending[0].atInst >= uint64(s.cfg.ROB) {
-		p := c.pending[0]
-		c.pending = c.pending[1:]
+	for k < len(c.pending) && instsAboutToBe-c.pending[k].atInst >= uint64(s.cfg.ROB) {
+		p := c.pending[k]
+		k++
 		if p.completeAt*4 > c.cycleQ {
 			s.res.StallCycles += p.completeAt - c.cycleQ/4
 			s.res.StallEvents++
 			c.cycleQ = p.completeAt * 4
 		}
 	}
+	if k > 0 {
+		c.pending = c.pending[:copy(c.pending, c.pending[k:])]
+	}
+}
+
+// addPending records a demand miss completing at done, issued by the
+// instruction just counted. The buffer is allocated with capacity ROB and
+// retire's bound keeps it within that, so the reslice never reallocates;
+// a broken bound panics instead of quietly growing the buffer.
+func (c *coreState) addPending(done uint64) {
+	n := len(c.pending)
+	c.pending = c.pending[:n+1]
+	c.pending[n] = pendingMiss{completeAt: done, atInst: c.insts}
 }
 
 // step simulates access a on core c.
@@ -436,14 +458,12 @@ func (s *Sim) step(c *coreState, a *trace.Access) {
 		}
 		// Not covered: behaves like a precise miss below.
 		if d.Fetch {
-			done := s.issueFetch(c, block, false, false)
-			c.pending = append(c.pending, pendingMiss{completeAt: done, atInst: c.insts})
+			c.addPending(s.issueFetch(c, block, false, false))
 		}
 		return
 	}
 
-	done := s.issueFetch(c, block, false, false)
-	c.pending = append(c.pending, pendingMiss{completeAt: done, atInst: c.insts})
+	c.addPending(s.issueFetch(c, block, false, false))
 }
 
 // issueFetch sends a block fetch through an MSHR: when all MSHRs hold

@@ -3,6 +3,7 @@ package fullsys
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"lva/internal/obs/prov"
 	"lva/internal/trace"
@@ -164,16 +165,26 @@ func replay(src trace.ChunkSource, threads int, sims []*Sim) ([]Result, *queue, 
 
 // advance steps s, one access at a time, always on the core whose next
 // access will issue earliest (its current time plus the compute gap before
-// the access). Shared-resource reservations (links, L2 banks, DRAM) then
-// occur in near-global time order, which the monotonic busy-until
-// contention model requires; residual leapfrogging from ROB/MSHR stalls is
-// bounded by one miss latency. It returns when an active core has no
-// queued access (the pick would need one not yet decoded) or when every
-// core is done.
+// the access), the lower core id first on equal keys. Shared-resource
+// reservations (links, L2 banks, DRAM) then occur in near-global time
+// order, which the monotonic busy-until contention model requires;
+// residual leapfrogging from ROB/MSHR stalls is bounded by one miss
+// latency. It returns when an active core has no queued access (the pick
+// would need one not yet decoded) or when every core is done.
+//
+// One scan finds the earliest core and the runner-up; the earliest core
+// then runs ahead while it stays ahead of the runner-up, and a rescan
+// follows when it falls behind or its queue runs dry. This picks exactly
+// what a scan before every step would: a step changes only its own core's
+// clock and cursor (coherence invalidates other cores' L1 lines but never
+// moves their clocks), and accesses are pushed only between advance calls,
+// so the other cores' keys, and which of them are dry, stay as scanned.
 func (s *Sim) advance(q *queue, cores []*coreState) {
 	for {
 		var next *coreState
 		var nextKey uint64
+		// With no runner-up the earliest core runs until its queue is dry.
+		runnerKey, runnerID := uint64(math.MaxUint64), len(cores)
 		for _, c := range cores {
 			if c.pos == c.blk.n {
 				if c.active {
@@ -182,19 +193,34 @@ func (s *Sim) advance(q *queue, cores []*coreState) {
 				continue
 			}
 			key := c.cycleQ + uint64(c.blk.accs[c.pos].Gap)
-			if next == nil || key < nextKey {
+			switch {
+			case next == nil || key < nextKey:
+				if next != nil {
+					runnerKey, runnerID = nextKey, next.id
+				}
 				next, nextKey = c, key
+			case key < runnerKey:
+				runnerKey, runnerID = key, c.id
 			}
 		}
 		if next == nil {
 			return
 		}
-		s.step(next, &next.blk.accs[next.pos])
-		next.pos++
-		if next.pos == blockAccesses {
-			b := next.blk
-			next.blk, next.pos = b.next, 0
-			q.leave(b)
+		for {
+			s.step(next, &next.blk.accs[next.pos])
+			next.pos++
+			if next.pos == blockAccesses {
+				b := next.blk
+				next.blk, next.pos = b.next, 0
+				q.leave(b)
+			}
+			if next.pos == next.blk.n {
+				break
+			}
+			key := next.cycleQ + uint64(next.blk.accs[next.pos].Gap)
+			if key > runnerKey || key == runnerKey && next.id > runnerID {
+				break
+			}
 		}
 	}
 }

@@ -15,17 +15,17 @@ import (
 // encodeGridStream synthesizes a multi-chunk, multi-thread grid stream with
 // mixed loads/stores/approximate accesses and returns the encoded bytes
 // plus its header. Threads interleave access by access.
-func encodeGridStream(t *testing.T, n, threads int) ([]byte, trace.GridHeader) {
+func encodeGridStream(t testing.TB, n, threads int) ([]byte, trace.GridHeader) {
 	return encodeThreaded(t, n, threads, func(i int) int { return i % threads })
 }
 
 // encodeBlockedStream is encodeGridStream with threads recorded in
 // contiguous blocks (thread i*threads/n), the order the kernels record in.
-func encodeBlockedStream(t *testing.T, n, threads int) ([]byte, trace.GridHeader) {
+func encodeBlockedStream(t testing.TB, n, threads int) ([]byte, trace.GridHeader) {
 	return encodeThreaded(t, n, threads, func(i int) int { return i * threads / n })
 }
 
-func encodeThreaded(t *testing.T, n, threads int, threadOf func(i int) int) ([]byte, trace.GridHeader) {
+func encodeThreaded(t testing.TB, n, threads int, threadOf func(i int) int) ([]byte, trace.GridHeader) {
 	t.Helper()
 	var buf bytes.Buffer
 	w := trace.NewGridWriter(&buf, "unit", "k", 1)
@@ -49,7 +49,7 @@ func encodeThreaded(t *testing.T, n, threads int, threadOf func(i int) int) ([]b
 }
 
 // decodeFlat materializes a grid stream into the in-memory trace format.
-func decodeFlat(t *testing.T, encoded []byte) *trace.Trace {
+func decodeFlat(t testing.TB, encoded []byte) *trace.Trace {
 	t.Helper()
 	gr, err := trace.NewGridReader(bytes.NewReader(encoded))
 	if err != nil {
@@ -171,7 +171,7 @@ func TestReplayMatchesIndependentRuns(t *testing.T) {
 	cfgs := replayConfigs()
 	for _, tc := range []struct {
 		name   string
-		encode func(*testing.T, int, int) ([]byte, trace.GridHeader)
+		encode func(testing.TB, int, int) ([]byte, trace.GridHeader)
 	}{
 		{"interleaved", encodeGridStream},
 		{"blocked", encodeBlockedStream},
@@ -231,7 +231,7 @@ func TestReplayQueueMemoryIsBounded(t *testing.T) {
 	const n = 200000
 	for _, tc := range []struct {
 		name   string
-		encode func(*testing.T, int, int) ([]byte, trace.GridHeader)
+		encode func(testing.TB, int, int) ([]byte, trace.GridHeader)
 		// maxLive bounds the peak live accesses. Blocks are released
 		// whole, so when threads interleave each core holds at most the
 		// block its slowest cursor is in plus the one being filled,

@@ -267,9 +267,9 @@ func runAllocbudget(p *Pass) {
 
 	// Locate each budgeted function's declaration and span.
 	type span struct {
-		decl      *ast.FuncDecl
-		file      string // module-root-relative path
-		from, to  int
+		decl     *ast.FuncDecl
+		file     string // module-root-relative path
+		from, to int
 	}
 	decls := make(map[string]span)
 	for _, f := range p.Pkg.Files {

@@ -34,8 +34,8 @@ var obshooksAnalyzer = &Analyzer{
 // hotPathPkgs are the packages on the per-load simulation path. The trace
 // package is here for its grid capture sink: (*GridWriter).Access runs on
 // every access of a recording run. prefetch runs on every phase-1 miss
-// under the prefetch attachment, and noc and coherence on every phase-2
-// fetch.
+// under the prefetch attachment, fullsys on every phase-2 access, and noc
+// and coherence on every phase-2 fetch.
 var hotPathPkgs = map[string]bool{
 	"lva/internal/memsim":    true,
 	"lva/internal/cache":     true,
@@ -47,6 +47,7 @@ var hotPathPkgs = map[string]bool{
 	"lva/internal/prefetch":  true,
 	"lva/internal/noc":       true,
 	"lva/internal/coherence": true,
+	"lva/internal/fullsys":   true,
 }
 
 // attrSeamPkgs additionally ban fmt outright (not just in hot-named
